@@ -1,5 +1,5 @@
 //! Shared workloads and evaluation harnesses for the figure/table
-//! regeneration binary (`figures`) and the Criterion benches.
+//! regeneration binary (`figures`) and the benchmark binaries.
 //!
 //! Everything here is deterministic in the seeds it is given, so the
 //! printed tables in EXPERIMENTS.md are reproducible.
@@ -7,7 +7,6 @@
 #![warn(missing_docs)]
 
 pub mod cityday;
-pub mod kernels;
 pub mod serving;
 pub mod summary;
 pub mod throughput;

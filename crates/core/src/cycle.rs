@@ -12,10 +12,7 @@
 
 use crate::config::IdentifyConfig;
 use crate::preprocess::LightObs;
-use taxilight_signal::interpolate::{resample, InterpolateError};
-use taxilight_signal::periodogram::{
-    band_candidates_with, dominant_period_refined_with, dominant_period_with,
-};
+use taxilight_signal::interpolate::InterpolateError;
 use taxilight_trace::time::Timestamp;
 
 /// A cycle-length estimate.
@@ -93,157 +90,24 @@ pub fn identify_cycle(
 
 /// Core of [`identify_cycle`], reusable by the enhancement path: samples
 /// are `(seconds since window start, speed)`, `window_len_s` the grid
-/// length.
+/// length. A convenience over a temporary
+/// [`IdentifyWorkspace`](crate::workspace::IdentifyWorkspace), which holds
+/// the algorithm.
 pub fn identify_cycle_from_samples(
     samples: &[(f64, f64)],
     window_len_s: usize,
     cfg: &IdentifyConfig,
 ) -> Result<CycleEstimate, CycleError> {
-    if window_len_s == 0 {
-        return Err(CycleError::DegenerateWindow { window_len_s });
-    }
-    // Non-finite samples come from corrupted feeds bypassing the
-    // preprocessor; they must surface as a typed failure, never as NaN
-    // poisoning the spectrum.
-    let samples: Vec<(f64, f64)> =
-        samples.iter().copied().filter(|&(t, v)| t.is_finite() && v.is_finite()).collect();
-    let samples = samples.as_slice();
-    if samples.len() < cfg.min_samples {
-        return Err(CycleError::TooFewSamples { have: samples.len(), need: cfg.min_samples });
-    }
-    let grid = resample(samples, 0.0, 1.0, window_len_s, cfg.interpolation)
-        .map_err(CycleError::Interpolation)?;
-    // A light leaves km/h-scale modulation; anything below this is flat
-    // traffic (or pure numerical ripple) and the periodogram would only
-    // amplify noise.
-    if taxilight_signal::stats::stddev(&grid).unwrap_or(0.0) < 0.5 {
-        return Err(CycleError::NoPeriodicity);
-    }
-    let est = match cfg.cycle_method {
-        crate::config::CycleMethod::Dft => {
-            if cfg.refine_peak {
-                dominant_period_refined_with(&grid, 1.0, cfg.band, cfg.spectrum)
-            } else {
-                dominant_period_with(&grid, 1.0, cfg.band, cfg.spectrum)
-            }
-        }
-        crate::config::CycleMethod::Autocorrelation => {
-            taxilight_signal::autocorr::dominant_period_autocorr(&grid, 1.0, cfg.band)
-        }
-    }
-    .ok_or(CycleError::NoPeriodicity)?;
-    if est.snr < cfg.min_snr {
-        return Err(CycleError::NoPeriodicity);
-    }
-    // The autocorrelation peak is already a time-domain statistic; it
-    // bypasses the DFT-candidate fold validation below.
-    if cfg.cycle_method == crate::config::CycleMethod::Autocorrelation || !cfg.fold_validate {
-        return Ok(CycleEstimate {
-            cycle_s: est.period,
-            bin: est.bin,
-            snr: est.snr,
-            samples_used: samples.len(),
-        });
-    }
-
-    // Fold validation: re-rank the strongest DFT bins (and their half
-    // periods, so a sub-harmonic winner still exposes its fundamental) by
-    // epoch-folding contrast on the *raw* samples.
-    let mut candidates =
-        band_candidates_with(&grid, 1.0, cfg.band, cfg.fold_candidates, cfg.spectrum);
-    let subdivided: Vec<_> = candidates
-        .iter()
-        .flat_map(|c| {
-            [2.0, 3.0, 4.0].into_iter().filter_map(move |k| {
-                let period = c.period / k;
-                (period >= cfg.band.min_period).then_some({
-                    taxilight_signal::periodogram::PeriodEstimate {
-                        period,
-                        bin: (c.bin as f64 * k) as usize,
-                        magnitude: c.magnitude,
-                        snr: c.snr,
-                    }
-                })
-            })
-        })
-        .collect();
-    candidates.extend(subdivided);
-    candidates.dedup_by(|a, b| (a.period - b.period).abs() < 0.5);
-
-    // Fold contrast collapses once the candidate period drifts by more
-    // than ~T²/window across the window, so every candidate is locally
-    // refined (fine hill-climb of the contrast) before comparison. This
-    // both rescues subdivided candidates — whose periods inherit the
-    // parent bin's quantisation — and removes the Eq. (2) integer-bin
-    // quantisation from the final estimate.
-    let refine_period = |p0: f64| -> (f64, f64) {
-        let half_width = (p0 * p0 / window_len_s as f64).clamp(1.5, 8.0);
-        let mut best = (p0, crate::superpose::fold_contrast(samples, p0));
-        let steps = (2.0 * half_width / 0.25) as i64;
-        for k in 0..=steps {
-            let p = p0 - half_width + 0.25 * k as f64;
-            if p < cfg.band.min_period || p > cfg.band.max_period {
-                continue;
-            }
-            let s = crate::superpose::fold_contrast(samples, p);
-            if s > best.1 {
-                best = (p, s);
-            }
-        }
-        best
-    };
-
-    struct Scored {
-        period: f64,
-        score: f64,
-        bin: usize,
-        snr: f64,
-    }
-    let scored: Vec<Scored> = candidates
-        .iter()
-        .map(|c| {
-            let (period, score) = refine_period(c.period);
-            Scored { period, score, bin: c.bin, snr: c.snr }
-        })
-        .collect();
-    let best_idx = (0..scored.len())
-        .max_by(|&a, &b| scored[a].score.total_cmp(&scored[b].score))
-        .expect("non-empty scored set");
-    if scored[best_idx].score <= 0.0 {
-        return Err(CycleError::NoPeriodicity);
-    }
-    // Take the best-scoring candidate, then descend its *harmonic chain*:
-    // a multiple of the true cycle folds just as cleanly (the pattern
-    // simply repeats inside the fold), so when ~period/k of the winner
-    // scores nearly as well, the shorter one is the fundamental. The
-    // preference is restricted to the winner's own chain — comparing
-    // unrelated candidates by length would let spurious short periods
-    // steal wins.
-    let mut winner_idx = best_idx;
-    for (i, c) in scored.iter().enumerate() {
-        let ratio = scored[best_idx].period / c.period;
-        let harmonic = ratio.round() >= 2.0 && (ratio - ratio.round()).abs() < 0.1;
-        if harmonic
-            && c.score >= 0.8 * scored[best_idx].score
-            && c.period < scored[winner_idx].period
-        {
-            winner_idx = i;
-        }
-    }
-    let winner = &scored[winner_idx];
-    Ok(CycleEstimate {
-        cycle_s: winner.period,
-        bin: winner.bin,
-        snr: winner.snr,
-        samples_used: samples.len(),
-    })
+    crate::workspace::IdentifyWorkspace::new().cycle_from_samples(samples, window_len_s, cfg)
 }
 
 impl crate::workspace::IdentifyWorkspace {
-    /// Workspace twin of [`identify_cycle_from_samples`]: bit-identical
-    /// results (same summation order, same bin grid, same tie-breaks) with
-    /// zero steady-state heap allocations once the buffers and FFT plans
-    /// for a signal shape exist.
+    /// Cycle-length identification from `(seconds since window start,
+    /// speed)` samples on a `window_len_s`-second 1 Hz grid (steps 1–4 of
+    /// the [module docs](crate::cycle)), plus fold validation of the DFT
+    /// candidates when [`IdentifyConfig::fold_validate`] is set. Zero
+    /// steady-state heap allocations once the buffers and FFT plans for a
+    /// signal shape exist.
     pub fn cycle_from_samples(
         &mut self,
         samples: &[(f64, f64)],
@@ -253,6 +117,9 @@ impl crate::workspace::IdentifyWorkspace {
         if window_len_s == 0 {
             return Err(CycleError::DegenerateWindow { window_len_s });
         }
+        // Non-finite samples come from corrupted feeds bypassing the
+        // preprocessor; they must surface as a typed failure, never as NaN
+        // poisoning the spectrum.
         self.finite.clear();
         self.finite
             .extend(samples.iter().copied().filter(|&(t, v)| t.is_finite() && v.is_finite()));
@@ -265,6 +132,9 @@ impl crate::workspace::IdentifyWorkspace {
         self.signal
             .resample_into(&self.finite, 0.0, 1.0, window_len_s, cfg.interpolation, &mut self.grid)
             .map_err(CycleError::Interpolation)?;
+        // A light leaves km/h-scale modulation; anything below this is flat
+        // traffic (or pure numerical ripple) and the periodogram would only
+        // amplify noise.
         if taxilight_signal::stats::stddev(&self.grid).unwrap_or(0.0) < 0.5 {
             return Err(CycleError::NoPeriodicity);
         }
@@ -284,6 +154,8 @@ impl crate::workspace::IdentifyWorkspace {
         if est.snr < cfg.min_snr {
             return Err(CycleError::NoPeriodicity);
         }
+        // The autocorrelation peak is already a time-domain statistic; it
+        // bypasses the DFT-candidate fold validation below.
         if cfg.cycle_method == crate::config::CycleMethod::Autocorrelation || !cfg.fold_validate {
             return Ok(CycleEstimate {
                 cycle_s: est.period,
@@ -293,6 +165,9 @@ impl crate::workspace::IdentifyWorkspace {
             });
         }
 
+        // Fold validation: re-rank the strongest DFT bins (and their
+        // 1/2, 1/3 and 1/4 periods, so a sub-harmonic winner still exposes
+        // its fundamental) by epoch-folding contrast on the *raw* samples.
         self.signal.band_candidates_into(
             &self.grid,
             1.0,
@@ -301,8 +176,7 @@ impl crate::workspace::IdentifyWorkspace {
             cfg.spectrum,
             &mut self.candidates,
         );
-        // Subdivisions push in the exact order the allocating path's
-        // `flat_map` produces: candidate-major, divisor-minor.
+        // Subdivisions are pushed candidate-major, divisor-minor.
         let original_len = self.candidates.len();
         for i in 0..original_len {
             let c = self.candidates[i];
@@ -320,6 +194,12 @@ impl crate::workspace::IdentifyWorkspace {
         }
         self.candidates.dedup_by(|a, b| (a.period - b.period).abs() < 0.5);
 
+        // Fold contrast collapses once the candidate period drifts by more
+        // than ~T²/window across the window, so every candidate is locally
+        // refined (fine hill-climb of the contrast) before comparison. This
+        // both rescues subdivided candidates — whose periods inherit the
+        // parent bin's quantisation — and removes the Eq. (2) integer-bin
+        // quantisation from the final estimate.
         let samples = self.finite.as_slice();
         let refine_period = |p0: f64| -> (f64, f64) {
             let half_width = (p0 * p0 / window_len_s as f64).clamp(1.5, 8.0);
@@ -338,8 +218,7 @@ impl crate::workspace::IdentifyWorkspace {
             best
         };
 
-        // `(period, fold score, bin, snr)` — mirrors the allocating path's
-        // `Scored` struct field for field.
+        // `(period, fold score, bin, snr)` per refined candidate.
         self.scored.clear();
         self.scored.extend(self.candidates.iter().map(|c| {
             let (period, score) = refine_period(c.period);
@@ -351,6 +230,13 @@ impl crate::workspace::IdentifyWorkspace {
         if self.scored[best_idx].1 <= 0.0 {
             return Err(CycleError::NoPeriodicity);
         }
+        // Take the best-scoring candidate, then descend its *harmonic
+        // chain*: a multiple of the true cycle folds just as cleanly (the
+        // pattern simply repeats inside the fold), so when ~period/k of the
+        // winner scores nearly as well, the shorter one is the fundamental.
+        // The preference is restricted to the winner's own chain —
+        // comparing unrelated candidates by length would let spurious short
+        // periods steal wins.
         let mut winner_idx = best_idx;
         for (i, c) in self.scored.iter().enumerate() {
             let ratio = self.scored[best_idx].0 / c.0;
@@ -600,13 +486,12 @@ mod tests {
         assert!(matches!(err, CycleError::TooFewSamples { .. }), "{err:?}");
     }
 
-    /// The workspace hot path is a *bit-identical* twin of the allocating
-    /// reference: every `Ok` compares on `f64::to_bits`, every `Err` on
-    /// structural equality — across one reused workspace, planted and
-    /// degenerate inputs, both spectrum paths, refinement on/off, and the
-    /// autocorrelation method.
+    /// One workspace reused across cases returns exactly what a fresh one
+    /// returns: every `Ok` compares on `f64::to_bits`, every `Err` on
+    /// structural equality — across planted and degenerate inputs, both
+    /// spectrum paths, refinement on/off, and the autocorrelation method.
     #[test]
-    fn workspace_cycle_matches_allocating_bitwise() {
+    fn reused_workspace_cycle_matches_fresh_bitwise() {
         use taxilight_signal::periodogram::SpectrumPath;
         let mut ws = crate::workspace::IdentifyWorkspace::new();
         let default = IdentifyConfig::default();

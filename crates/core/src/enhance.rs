@@ -15,32 +15,20 @@
 use crate::config::IdentifyConfig;
 use crate::cycle::{identify_cycle_from_samples, speed_samples, CycleError, CycleEstimate};
 use crate::preprocess::LightObs;
-use taxilight_signal::interpolate::merge_coincident;
 use taxilight_trace::time::Timestamp;
 
 /// Applies Eq. (3): merges `primary` samples with mirrored `perpendicular`
 /// samples at the seconds where the primary road has none. Inputs are
-/// `(t, speed)` pairs (any order); the output is slot-merged and sorted.
+/// `(t, speed)` pairs (any order); the output is slot-merged and sorted. A
+/// convenience over a temporary
+/// [`IdentifyWorkspace`](crate::workspace::IdentifyWorkspace), which holds
+/// the algorithm.
 pub fn mirror_enhance(primary: &[(f64, f64)], perpendicular: &[(f64, f64)]) -> Vec<(f64, f64)> {
-    let prim = merge_coincident(primary);
-    let perp = merge_coincident(perpendicular);
-    if perp.is_empty() {
-        return prim;
-    }
-    // v̄: the intersection's mean speed over both roads.
-    let total: f64 = prim.iter().map(|p| p.1).chain(perp.iter().map(|p| p.1)).sum();
-    let count = prim.len() + perp.len();
-    let v_bar = total / count as f64;
-
-    let mut out = prim.clone();
-    let have: std::collections::HashSet<i64> = prim.iter().map(|&(t, _)| t as i64).collect();
-    for &(t, v_p) in &perp {
-        if !have.contains(&(t as i64)) {
-            out.push((t, (2.0 * v_bar - v_p).max(0.0)));
-        }
-    }
-    out.sort_by(|a, b| a.0.total_cmp(&b.0));
-    out
+    let mut ws = crate::workspace::IdentifyWorkspace::new();
+    ws.pool_primary.extend_from_slice(primary);
+    ws.pool_perpendicular.extend_from_slice(perpendicular);
+    ws.mirror_enhance_pools();
+    ws.enhanced
 }
 
 /// Cycle identification with enhancement: uses the perpendicular
@@ -60,12 +48,11 @@ pub fn identify_cycle_enhanced(
 }
 
 impl crate::workspace::IdentifyWorkspace {
-    /// Workspace twin of [`mirror_enhance`] over the pools in
-    /// `self.pool_primary` / `self.pool_perpendicular`, writing the merged
-    /// Eq. (3) series into `self.enhanced`. Bit-identical to the reference:
-    /// the final sort's keys are provably distinct (slot-merged primary
-    /// seconds, plus perpendicular seconds that pass the `have` filter), so
-    /// the unstable sort reproduces the stable order exactly.
+    /// Eq. (3) over the pools in `self.pool_primary` /
+    /// `self.pool_perpendicular`, writing the merged series into
+    /// `self.enhanced`. The final sort's keys are provably distinct
+    /// (slot-merged primary seconds, plus perpendicular seconds that pass
+    /// the `have` filter), so the unstable sort is deterministic.
     pub(crate) fn mirror_enhance_pools(&mut self) {
         self.signal.merge_coincident_into(&self.pool_primary, &mut self.prim);
         self.signal.merge_coincident_into(&self.pool_perpendicular, &mut self.perp);
@@ -74,6 +61,7 @@ impl crate::workspace::IdentifyWorkspace {
         if self.perp.is_empty() {
             return;
         }
+        // v̄: the intersection's mean speed over both roads.
         let total: f64 = self.prim.iter().map(|p| p.1).chain(self.perp.iter().map(|p| p.1)).sum();
         let count = self.prim.len() + self.perp.len();
         let v_bar = total / count as f64;
@@ -93,12 +81,13 @@ impl crate::workspace::IdentifyWorkspace {
 mod tests {
     use super::*;
     use crate::cycle::testutil::{planted_obs, Lcg};
+    use taxilight_signal::interpolate::merge_coincident;
 
-    /// The pooled workspace variant is bit-identical to [`mirror_enhance`]
-    /// across reuse, including empty pools on both sides.
+    /// One workspace reused across cases returns exactly what a fresh one
+    /// ([`mirror_enhance`]) returns, including empty pools on both sides.
     #[test]
     #[allow(clippy::type_complexity)]
-    fn workspace_enhance_matches_allocating_bitwise() {
+    fn reused_workspace_enhance_matches_fresh_bitwise() {
         let mut rng = Lcg(77);
         let mut ws = crate::workspace::IdentifyWorkspace::new();
         let mut cases: Vec<(Vec<(f64, f64)>, Vec<(f64, f64)>)> = vec![

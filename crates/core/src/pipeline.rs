@@ -33,8 +33,8 @@ use taxilight_trace::geo::heading_difference;
 use taxilight_trace::time::Timestamp;
 
 /// Registry name of the kernel-time counter: nanoseconds spent inside
-/// dispatched `taxilight-signal` kernels (spectrum, resample grid
-/// evaluation), labelled with the active dispatch path. A subset of the
+/// `taxilight-signal` kernels (spectrum, resample grid evaluation),
+/// labelled with the compiled-in kernel path. A subset of the
 /// stage wall-clock counters — lets traces and snapshots separate
 /// vectorized-kernel time from surrounding orchestration.
 pub const STAGE_KERNEL_NANOS_METRIC: &str = "taxilight_stage_kernel_ns_total";

@@ -69,14 +69,6 @@ pub fn fill_gaps_circular(binned: &[Option<f64>]) -> Vec<f64> {
     out
 }
 
-/// Convenience: superpose, bin and gap-fill in one call, producing the
-/// 1 Hz cyclic speed profile the change-point detector consumes.
-pub fn cycle_profile(samples: &[(f64, f64)], cycle_s: f64) -> Vec<f64> {
-    let cycle_len = cycle_s.round().max(1.0) as usize;
-    let folded = superpose(samples, cycle_s);
-    fill_gaps_circular(&bin_cycle(&folded, cycle_len))
-}
-
 /// Epoch-folding contrast: how much of the samples' variance is explained
 /// by folding them at `cycle_s` (noise-corrected ANOVA R², clamped to
 /// `[0, 1]`).
@@ -129,12 +121,14 @@ pub fn fold_contrast(samples: &[(f64, f64)], cycle_s: f64) -> f64 {
 }
 
 impl crate::workspace::IdentifyWorkspace {
-    /// Workspace twin of [`cycle_profile`]: fills `self.profile` with the
-    /// gap-filled 1 Hz cyclic speed profile, bit-identical to the
-    /// allocating chain. The fold sort tags each sample with its original
-    /// index so `sort_unstable_by` reproduces the reference's *stable*
-    /// order (folded coordinates can tie — e.g. t = 10 and t = 108 both
-    /// fold to 10 at cycle 98 — and bin sums depend on summation order).
+    /// Superposes, bins and gap-fills in one pass: fills `self.profile`
+    /// with the 1 Hz cyclic speed profile the change-point detector
+    /// consumes, bit-identical to the allocating
+    /// [`superpose`] → [`bin_cycle`] → [`fill_gaps_circular`] chain. The
+    /// fold sort tags each sample with its original index so
+    /// `sort_unstable_by` reproduces [`superpose`]'s *stable* order (folded
+    /// coordinates can tie — e.g. t = 10 and t = 108 both fold to 10 at
+    /// cycle 98 — and bin sums depend on summation order).
     ///
     /// # Panics
     /// Panics when `cycle_s` is not positive.
@@ -208,8 +202,14 @@ impl crate::workspace::IdentifyWorkspace {
 mod tests {
     use super::*;
 
-    /// The workspace profile is bit-identical to the allocating chain,
-    /// including tied folded coordinates (whose bin summation order the
+    /// The allocating superpose → bin → gap-fill chain.
+    fn cycle_profile(samples: &[(f64, f64)], cycle_s: f64) -> Vec<f64> {
+        let cycle_len = cycle_s.round().max(1.0) as usize;
+        fill_gaps_circular(&bin_cycle(&superpose(samples, cycle_s), cycle_len))
+    }
+
+    /// The workspace profile, reused across cases, is bit-identical to the
+    /// allocating chain, including tied folded coordinates (whose bin summation order the
     /// tagged sort must reproduce) and degenerate inputs.
     #[test]
     fn workspace_profile_matches_allocating_bitwise() {

@@ -3,10 +3,13 @@
 //! [`IdentifyWorkspace`] owns a [`SignalWorkspace`] (FFT plan cache plus
 //! resample/spectrum scratch) and every intermediate buffer the per-light
 //! `cycle → enhance → superpose → red → change_point` chain needs from this
-//! crate. After a warmup call per signal shape, the workspace-threaded
-//! pipeline performs **zero heap allocations** on the steady-state
-//! cycle/DFT path and returns results **bit-identical** to the allocating
-//! reference functions — pinned by the per-stage equality tests in
+//! crate. Each stage has its one body here; the allocating conveniences
+//! ([`crate::cycle::identify_cycle_from_samples`],
+//! [`crate::enhance::mirror_enhance`]) run it on a temporary workspace.
+//! After a warmup call per signal shape, the workspace-threaded pipeline
+//! performs **zero heap allocations** on the steady-state cycle/DFT path,
+//! and a reused workspace returns exactly the bits a fresh one does —
+//! pinned by the per-stage reuse tests in
 //! `cycle`/`enhance`/`superpose`/`change_point` and the counting-allocator
 //! test behind the `alloc-counter` feature.
 //!
@@ -44,7 +47,7 @@ pub struct StageTimings {
     red_ns: u64,
     /// Stage 3: superposition, change-point search and onset fusion.
     change_ns: u64,
-    /// Time spent inside dispatched `taxilight-signal` kernels (spectrum +
+    /// Time spent inside `taxilight-signal` kernels (spectrum +
     /// resample grid evaluation), a *subset* of `cycle_ns` — drained from
     /// the signal workspace after each stage-1 lap so traces can separate
     /// vectorized-kernel time from surrounding orchestration.
@@ -76,7 +79,7 @@ impl StageTimings {
         self.change_ns += elapsed.as_nanos() as u64;
     }
 
-    /// Accumulates nanoseconds spent inside dispatched signal kernels
+    /// Accumulates nanoseconds spent inside signal kernels
     /// (drained from `SignalWorkspace::take_kernel_nanos`).
     #[inline]
     pub fn add_kernel_ns(&mut self, ns: u64) {

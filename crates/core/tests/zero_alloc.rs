@@ -19,6 +19,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use taxilight_core::{IdentifyConfig, IdentifyWorkspace, SpectrumPath};
 
@@ -57,6 +58,16 @@ fn alloc_calls() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
 }
 
+/// Serialises the tests of this file: the allocation counter is
+/// process-global, so a sibling test warming its workspace on another test
+/// thread would be counted inside this test's measured region.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failing test poisons the lock; the other must still run.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Deterministic sparse speed trace with a planted red/green square wave.
 ///
 /// Mimics what [`crate::cycle::speed_samples`] produces for a light with a
@@ -82,6 +93,7 @@ fn planted_speed_trace(window_s: usize, cycle_s: f64, red_s: f64, seed: u64) -> 
 
 #[test]
 fn steady_state_cycle_path_is_allocation_free() {
+    let _serial = serial();
     let exact = IdentifyConfig::default();
     let padded = IdentifyConfig { spectrum: SpectrumPath::PaddedPow2, ..IdentifyConfig::default() };
 
@@ -118,6 +130,7 @@ fn steady_state_cycle_path_is_allocation_free() {
 
 #[test]
 fn steady_state_holds_across_alternating_shapes() {
+    let _serial = serial();
     // Alternating between two shapes must also stay allocation-free once both
     // are warm: buffers only ever grow, and the plan cache keys on length.
     let cfg = IdentifyConfig::default();

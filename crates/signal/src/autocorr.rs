@@ -121,13 +121,16 @@ mod tests {
 
     #[test]
     fn agrees_with_periodogram_on_clean_signals() {
-        use crate::periodogram::dominant_period;
+        use crate::periodogram::SpectrumPath;
+        let mut ws = crate::SignalWorkspace::new();
         for period in [60.0f64, 97.0, 151.0, 240.0] {
             let x: Vec<f64> = (0..3600)
                 .map(|k| 15.0 + 8.0 * (2.0 * std::f64::consts::PI * k as f64 / period).cos())
                 .collect();
             let a = dominant_period_autocorr(&x, 1.0, PeriodBand::TRAFFIC_LIGHTS).unwrap();
-            let d = dominant_period(&x, 1.0, PeriodBand::TRAFFIC_LIGHTS).unwrap();
+            let d = ws
+                .dominant_period(&x, 1.0, PeriodBand::TRAFFIC_LIGHTS, false, SpectrumPath::Exact)
+                .unwrap();
             assert!(
                 (a.period - d.period).abs() < 4.0,
                 "period {period}: autocorr {} vs dft {}",

@@ -56,22 +56,8 @@ pub(crate) fn validate(points: &[(f64, f64)]) -> Result<(), InterpolateError> {
 /// is used as the interpolation input. Input need not be sorted; output is
 /// sorted and strictly increasing, ready for the interpolants here.
 pub fn merge_coincident(samples: &[(f64, f64)]) -> Vec<(f64, f64)> {
-    let mut sorted: Vec<(f64, f64)> =
-        samples.iter().copied().filter(|(t, v)| t.is_finite() && v.is_finite()).collect();
-    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut out: Vec<(f64, f64)> = Vec::with_capacity(sorted.len());
-    let mut i = 0;
-    while i < sorted.len() {
-        let slot = sorted[i].0.floor();
-        let mut sum = 0.0;
-        let mut count = 0.0;
-        while i < sorted.len() && sorted[i].0.floor() == slot {
-            sum += sorted[i].1;
-            count += 1.0;
-            i += 1;
-        }
-        out.push((slot, sum / count));
-    }
+    let mut out = Vec::new();
+    crate::SignalWorkspace::new().merge_coincident_into(samples, &mut out);
     out
 }
 
@@ -214,7 +200,9 @@ pub enum Method {
 }
 
 /// Resamples irregular `(t, v)` samples onto the regular grid
-/// `t0, t0+dt, …` (`count` points) after same-slot mean-merging.
+/// `t0, t0+dt, …` (`count` points) after same-slot mean-merging. A
+/// convenience over a temporary [`SignalWorkspace`](crate::SignalWorkspace),
+/// which holds the algorithm.
 ///
 /// Returns `Err(Empty)` when no finite samples exist.
 pub fn resample(
@@ -224,35 +212,9 @@ pub fn resample(
     count: usize,
     method: Method,
 ) -> Result<Vec<f64>, InterpolateError> {
-    let merged = merge_coincident(samples);
-    if merged.is_empty() {
-        return Err(InterpolateError::Empty);
-    }
-    match method {
-        Method::NearestOrZero => {
-            let mut grid = vec![0.0; count];
-            for &(t, v) in &merged {
-                let slot = ((t - t0) / dt).round();
-                if slot >= 0.0 && (slot as usize) < count {
-                    grid[slot as usize] = v;
-                }
-            }
-            Ok(grid)
-        }
-        Method::Linear => {
-            // The kernel's monotone-scan grid evaluation is bit-identical to
-            // `linear_interpolate` on the same grid, without materialising
-            // the query vector.
-            validate(&merged)?;
-            let mut out = Vec::with_capacity(count);
-            crate::kernels::lerp_grid_into(&merged, t0, dt, count, &mut out);
-            Ok(out)
-        }
-        Method::CubicSpline => {
-            let spline = CubicSpline::new(&merged)?;
-            Ok(spline.sample_grid(t0, dt, count))
-        }
-    }
+    let mut grid = Vec::new();
+    crate::SignalWorkspace::new().resample_into(samples, t0, dt, count, method, &mut grid)?;
+    Ok(grid)
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@
 //!   densify sparse taxi-speed samples onto a 1 Hz grid.
 //! * [`convolution`] — direct and FFT-based convolution, and the circular
 //!   moving average used by the sliding-window change-point detector.
-//! * [`periodogram`] — magnitude spectra, dominant-period extraction
-//!   (paper Eq. (2)) with period-band constraints.
+//! * [`periodogram`] — period bands, spectrum paths and period estimates
+//!   for the dominant-period search (paper Eq. (2)).
 //! * [`stats`] — descriptive statistics (mean/variance/percentiles/weighted
 //!   means) shared by every layer above.
 //! * [`histogram`] — fixed-width histograms and empirical CDFs used by the
@@ -23,9 +23,11 @@
 //!   an alternative estimator kept for the method ablation.
 //! * [`plan`] — precomputed FFT plans (radix-2 twiddles, Bluestein chirp +
 //!   b-spectrum) cached per transform length.
-//! * [`workspace`] — [`SignalWorkspace`], per-thread reusable scratch making
-//!   the resample → Eq. (1) → period-search chain allocation-free in steady
-//!   state while staying bit-identical to the free functions.
+//! * [`workspace`] — [`SignalWorkspace`], per-thread reusable scratch
+//!   holding the resample → Eq. (1) → period-search chain, allocation-free
+//!   in steady state.
+//! * [`kernels`] — the hot inner loops: SSE2 on `x86_64`, portable 4-lane
+//!   scalar code elsewhere, selected at compile time.
 
 #![warn(missing_docs)]
 

@@ -2,14 +2,19 @@
 //!
 //! [`SignalWorkspace`] owns a [`PlanCache`] plus every intermediate buffer
 //! the per-light pipeline needs from this crate — merge/sort scratch and
-//! spline coefficients for [`crate::interpolate::resample`], the complex
-//! spectrum and Bluestein convolution buffer behind
-//! [`crate::fft::eq1_spectrum`], the magnitude spectrum, and the banded
-//! median/candidate buffers of [`crate::periodogram`]. After a warmup call
-//! per signal shape, the `*_into`/`*_ws` entry points below perform **zero
-//! heap allocations** and return results **bit-identical** to the allocating
-//! free functions (same summation order, same bin grid) — pinned by the
-//! proptests in `tests/plan_identity.rs`.
+//! spline coefficients for resampling, the complex spectrum and Bluestein
+//! convolution buffer behind the Eq. (1) transform, the magnitude spectrum,
+//! and the banded median/candidate buffers of the period search.
+//!
+//! It holds the one body of the resample → Eq. (1) → period-search chain:
+//! the allocating conveniences [`crate::interpolate::resample`],
+//! [`crate::interpolate::merge_coincident`] and
+//! [`crate::periodogram::band_candidates`] run it on a temporary
+//! workspace. After a warmup call per signal shape the entry points below
+//! perform **zero heap allocations**, and a reused workspace returns
+//! exactly the bits a fresh one does — pinned by
+//! `tests/plan_identity.rs`, which also checks the plan-cached transforms
+//! bit for bit against the [`crate::fft`] reference.
 //!
 //! Ownership rule: one workspace per thread. The type is deliberately not
 //! `Sync`-shareable state — give each worker its own and reuse it across
@@ -24,8 +29,8 @@ use taxilight_obs::span;
 
 /// Per-thread scratch + plan cache for allocation-free signal processing.
 ///
-/// See the [module docs](self) for the ownership rules and the bit-identity
-/// contract with the allocating free functions.
+/// See the [module docs](self) for the ownership rules and the reuse
+/// contract.
 #[derive(Debug, Default)]
 pub struct SignalWorkspace {
     plans: PlanCache,
@@ -37,13 +42,12 @@ pub struct SignalWorkspace {
     real: Vec<f64>,
     /// Magnitude spectrum, bins `0 ..= N/2`.
     mags: Vec<f64>,
-    /// The one reused banded buffer that replaces the two per-call
-    /// allocations in `periodogram::search`/`band_candidates_with`: first
-    /// the median copy, then (as `bins`) the candidate ranking.
+    /// In-band magnitudes, sorted for the median noise floor.
     band: Vec<f64>,
+    /// In-band `(bin, magnitude)` pairs ranked for the candidate list.
     bins: Vec<(usize, f64)>,
-    /// `(t, v, filtered-index)` sort scratch reproducing the stable
-    /// sort order of `merge_coincident` without its allocation.
+    /// `(t, v, filtered-index)` sort scratch: the index tiebreak keeps
+    /// samples with equal `t` in input order under an unstable sort.
     tagged: Vec<(f64, f64, usize)>,
     /// Output of same-slot mean-merging; doubles as the spline knots.
     merged: Vec<(f64, f64)>,
@@ -54,7 +58,7 @@ pub struct SignalWorkspace {
     sup: Vec<f64>,
     rhs: Vec<f64>,
     m2: Vec<f64>,
-    /// Nanoseconds spent inside dispatched [`crate::kernels`] regions since
+    /// Nanoseconds spent inside [`crate::kernels`] regions since
     /// the last [`take_kernel_nanos`](Self::take_kernel_nanos) call.
     kernel_ns: u64,
 }
@@ -75,7 +79,7 @@ impl SignalWorkspace {
         self.plans.reset_stats();
     }
 
-    /// Drains the nanoseconds accumulated inside dispatched kernel regions
+    /// Drains the nanoseconds accumulated inside kernel regions
     /// (spectrum + resample grid evaluation) since the last call. The
     /// pipeline folds this into its `stage.kernel` timing so Chrome traces
     /// separate vectorized-kernel time from surrounding orchestration.
@@ -118,9 +122,17 @@ impl SignalWorkspace {
         crate::kernels::conj_scale_in_place(out, inv_n);
     }
 
-    /// Dominant-period search, bit-identical to
-    /// [`crate::periodogram::dominant_period_with`] (`refine = false`) /
-    /// [`crate::periodogram::dominant_period_refined_with`] (`refine = true`).
+    /// Finds the dominant period of `signal` sampled every `sample_dt`
+    /// seconds, searching only periods inside `band`.
+    ///
+    /// Implements Eq. (2): the strongest bin `n` of the demeaned Eq. (1)
+    /// magnitude spectrum maps to period `N·dt/n`. With `refine`, parabolic
+    /// interpolation around the winning bin gives sub-bin resolution.
+    /// Returns `None` when the signal is shorter than 4 samples, no bin
+    /// falls inside the band, or the in-band spectrum is zero.
+    ///
+    /// # Panics
+    /// Panics when `sample_dt` is not positive.
     pub fn dominant_period(
         &mut self,
         signal: &[f64],
@@ -138,6 +150,7 @@ impl SignalWorkspace {
         let total = self.banded_spectrum(signal, sample_dt, path);
         let mags = &self.mags;
 
+        // Bin k corresponds to period total/k; the band maps to a bin range.
         let lo_bin = ((total / band.max_period).ceil() as usize).max(1);
         let hi_bin = ((total / band.min_period).floor() as usize).min(mags.len().saturating_sub(1));
         if lo_bin > hi_bin {
@@ -155,10 +168,8 @@ impl SignalWorkspace {
             return None;
         }
 
-        // Median magnitude in the band as the noise floor — one reused
-        // buffer instead of a fresh `to_vec` per call. Sorting by
-        // `total_cmp` is a total order, so the unstable sort yields the
-        // same array (equal keys are bit-identical) and the same median.
+        // Median magnitude in the band as the noise floor. `total_cmp` is a
+        // total order, so the unstable sort is deterministic.
         self.band.clear();
         self.band.extend_from_slice(&mags[lo_bin..=hi_bin]);
         self.band.sort_unstable_by(f64::total_cmp);
@@ -167,6 +178,8 @@ impl SignalWorkspace {
 
         let mut bin_pos = best_bin as f64;
         if refine && best_bin > lo_bin && best_bin < hi_bin {
+            // Parabolic (quadratic) interpolation on the three bins around
+            // the peak: offset = ½(α−γ)/(α−2β+γ).
             let alpha = mags[best_bin - 1];
             let beta = mags[best_bin];
             let gamma = mags[best_bin + 1];
@@ -182,8 +195,12 @@ impl SignalWorkspace {
         Some(PeriodEstimate { period: total / bin_pos, bin: best_bin, magnitude: best_mag, snr })
     }
 
-    /// The `k` strongest in-band bins into `out` (cleared first),
-    /// bit-identical to [`crate::periodogram::band_candidates_with`].
+    /// The `k` strongest in-band bins into `out` (cleared first), strongest
+    /// first, for callers that re-rank candidates with another criterion
+    /// (fold validation).
+    ///
+    /// # Panics
+    /// Panics when `sample_dt` is not positive.
     pub fn band_candidates_into(
         &mut self,
         signal: &[f64],
@@ -213,10 +230,7 @@ impl SignalWorkspace {
 
         self.bins.clear();
         self.bins.extend((lo_bin..=hi_bin).map(|b| (b, mags[b])).filter(|&(_, m)| m > 0.0));
-        // The allocating path uses a stable descending sort over bins that
-        // were pushed in ascending order; descending magnitude with the bin
-        // index as tiebreak reproduces that order without the stable sort's
-        // temporary buffer.
+        // Descending magnitude; equal magnitudes keep the lower bin first.
         self.bins.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         self.bins.truncate(k);
         out.extend(self.bins.iter().map(|&(bin, magnitude)| PeriodEstimate {
@@ -227,16 +241,20 @@ impl SignalWorkspace {
         }));
     }
 
-    /// Same-slot mean-merge of irregular `(t, v)` samples into `out`,
-    /// bit-identical to [`crate::interpolate::merge_coincident`]. Exposed
-    /// for the per-light enhancement stage, which merges the primary and
-    /// perpendicular pools before mirroring.
+    /// Same-slot mean-merge of irregular `(t, v)` samples into `out` (see
+    /// [`crate::interpolate::merge_coincident`]). Exposed for the per-light
+    /// enhancement stage, which merges the primary and perpendicular pools
+    /// before mirroring.
     pub fn merge_coincident_into(&mut self, samples: &[(f64, f64)], out: &mut Vec<(f64, f64)>) {
         merge_coincident_into(samples, &mut self.tagged, out);
     }
 
-    /// Resamples irregular `(t, v)` samples onto the regular grid into
-    /// `out`, bit-identical to [`crate::interpolate::resample`].
+    /// Resamples irregular `(t, v)` samples onto the regular grid
+    /// `t0, t0+dt, …` (`count` points) into `out`, after same-slot
+    /// mean-merging.
+    ///
+    /// Returns `Err(Empty)` when no finite samples exist, and the
+    /// interpolant's validation error otherwise.
     pub fn resample_into(
         &mut self,
         samples: &[(f64, f64)],
@@ -292,8 +310,10 @@ impl SignalWorkspace {
     }
 
     /// Demeaned magnitude spectrum into `self.mags`; returns the total
-    /// duration for the bin→period mapping. Mirrors the private
-    /// `periodogram::banded_spectrum`.
+    /// duration for the bin→period mapping. With `PaddedPow2` the spectrum
+    /// (and the bin grid) is that of the zero-padded, power-of-two-length
+    /// signal. Demeaning keeps the DC component from dwarfing the cycle
+    /// peak.
     fn banded_spectrum(&mut self, signal: &[f64], sample_dt: f64, path: SpectrumPath) -> f64 {
         let _kspan = span!("stage.kernel", kernel = 1, n = signal.len());
         let kstart = std::time::Instant::now();
@@ -324,10 +344,10 @@ impl SignalWorkspace {
     }
 }
 
-/// Same-slot mean-merge into `out`, bit-identical to
-/// [`crate::interpolate::merge_coincident`]. `tagged` carries the filtered
-/// index so an unstable sort reproduces the stable order (ties in `t` keep
-/// input order).
+/// Same-slot mean-merge into `out`: finite samples sorted by `t`, each
+/// unit slot (`t.floor()`) replaced by `(slot, mean value)`. `tagged`
+/// carries the filtered index so the unstable sort keeps ties in `t` in
+/// input order, which fixes the summation order of each mean.
 fn merge_coincident_into(
     samples: &[(f64, f64)],
     tagged: &mut Vec<(f64, f64, usize)>,
@@ -429,10 +449,8 @@ pub(crate) fn spline_eval(points: &[(f64, f64)], m2: &[f64], x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interpolate::{merge_coincident, resample};
-    use crate::periodogram::{
-        band_candidates_with, dominant_period_refined_with, dominant_period_with,
-    };
+    use crate::interpolate::resample;
+    use crate::periodogram::band_candidates;
 
     fn tone(n: usize, period: f64, amp: f64, dc: f64) -> Vec<f64> {
         (0..n).map(|k| dc + amp * (2.0 * std::f64::consts::PI * k as f64 / period).sin()).collect()
@@ -452,17 +470,19 @@ mod tests {
     }
 
     #[test]
-    fn dominant_period_matches_free_function_bitwise() {
+    fn reused_dominant_period_matches_fresh_workspace_bitwise() {
         let mut ws = SignalWorkspace::new();
         for n in [1200usize, 2048, 3600] {
             for path in [SpectrumPath::Exact, SpectrumPath::PaddedPow2] {
                 for refine in [false, true] {
                     let sig = tone(n, 98.0, 5.0, 15.0);
-                    let reference = if refine {
-                        dominant_period_refined_with(&sig, 1.0, PeriodBand::TRAFFIC_LIGHTS, path)
-                    } else {
-                        dominant_period_with(&sig, 1.0, PeriodBand::TRAFFIC_LIGHTS, path)
-                    };
+                    let reference = SignalWorkspace::new().dominant_period(
+                        &sig,
+                        1.0,
+                        PeriodBand::TRAFFIC_LIGHTS,
+                        refine,
+                        path,
+                    );
                     let ws_est =
                         ws.dominant_period(&sig, 1.0, PeriodBand::TRAFFIC_LIGHTS, refine, path);
                     assert_estimates_bit_equal(ws_est, reference);
@@ -478,13 +498,7 @@ mod tests {
         for n in [900usize, 3600] {
             for k in [1usize, 5, 100] {
                 let sig = tone(n, 120.0, 6.0, 20.0);
-                let reference = band_candidates_with(
-                    &sig,
-                    1.0,
-                    PeriodBand::TRAFFIC_LIGHTS,
-                    k,
-                    SpectrumPath::Exact,
-                );
+                let reference = band_candidates(&sig, 1.0, PeriodBand::TRAFFIC_LIGHTS, k);
                 ws.band_candidates_into(
                     &sig,
                     1.0,
@@ -498,21 +512,6 @@ mod tests {
                     assert_estimates_bit_equal(Some(*a), Some(*b));
                 }
             }
-        }
-    }
-
-    #[test]
-    fn merge_into_matches_free_function() {
-        let samples =
-            vec![(10.2, 4.0), (10.7, 6.0), (f64::NAN, 1.0), (20.0, 3.0), (10.4, 8.0), (5.9, 2.0)];
-        let mut tagged = Vec::new();
-        let mut out = Vec::new();
-        merge_coincident_into(&samples, &mut tagged, &mut out);
-        let reference = merge_coincident(&samples);
-        assert_eq!(out.len(), reference.len());
-        for (a, b) in out.iter().zip(&reference) {
-            assert_eq!(a.0.to_bits(), b.0.to_bits());
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
         }
     }
 

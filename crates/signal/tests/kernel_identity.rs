@@ -1,18 +1,16 @@
-//! Differential proptests for the kernel layer: every kernel's SIMD path
-//! must match its scalar twin **bit for bit** (`f64::to_bits`) on arbitrary
-//! finite inputs — including non-multiple-of-lane-width tails, empty, and
-//! 1-element slices — and the dispatching wrapper must agree with both
-//! under either [`force`] setting.
+//! Differential proptests for the kernel layer: every public kernel entry
+//! point (the compiled-in path — SSE2 on `x86_64`) must match its scalar
+//! reference **bit for bit** (`f64::to_bits`) on arbitrary finite inputs —
+//! including non-multiple-of-lane-width tails, empty, and 1-element
+//! slices.
 //!
 //! This holds for *all* kernels, not only the "bit-identity class": the
 //! reassociating reductions changed their order relative to the pre-kernel
-//! code, but the scalar 4-lane fallback and the SIMD path reassociate
-//! *identically*, so scalar-vs-SIMD equality is still exact. That is also
-//! what makes the process-global `force` knob safe to flip from tests that
-//! run concurrently with the rest of the suite.
+//! code, but the scalar 4-lane code and the SSE2 path reassociate
+//! *identically*, so every target computes the same bits.
 
 use proptest::prelude::*;
-use taxilight_signal::kernels::{self, force, scalar, simd, KernelDispatch};
+use taxilight_signal::kernels::{self, scalar};
 use taxilight_signal::Complex64;
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -66,20 +64,20 @@ proptest! {
 
     #[test]
     fn sum_paths_bitwise_equal(xs in vec_with_ragged_len(300)) {
-        prop_assert_eq!(scalar::sum(&xs).to_bits(), simd::sum(&xs).to_bits());
+        prop_assert_eq!(scalar::sum(&xs).to_bits(), kernels::sum(&xs).to_bits());
     }
 
     #[test]
     fn dot_paths_bitwise_equal(xs in vec_with_ragged_len(300)) {
         let ys: Vec<f64> = xs.iter().rev().map(|v| v * 0.3 + 1.0).collect();
-        prop_assert_eq!(scalar::dot(&xs, &ys).to_bits(), simd::dot(&xs, &ys).to_bits());
+        prop_assert_eq!(scalar::dot(&xs, &ys).to_bits(), kernels::dot(&xs, &ys).to_bits());
     }
 
     #[test]
     fn sum_sq_diff_paths_bitwise_equal(xs in vec_with_ragged_len(300), m in -100.0f64..100.0) {
         prop_assert_eq!(
             scalar::sum_sq_diff(&xs, m).to_bits(),
-            simd::sum_sq_diff(&xs, m).to_bits()
+            kernels::sum_sq_diff(&xs, m).to_bits()
         );
     }
 
@@ -87,7 +85,7 @@ proptest! {
     fn magnitudes_paths_bitwise_equal(spec in complex_vec(257)) {
         let (mut a, mut b) = (Vec::new(), Vec::new());
         scalar::magnitudes_into(&spec, &mut a);
-        simd::magnitudes_into(&spec, &mut b);
+        kernels::magnitudes_into(&spec, &mut b);
         prop_assert_eq!(bits(&a), bits(&b));
     }
 
@@ -95,7 +93,7 @@ proptest! {
     fn subtract_scalar_paths_bitwise_equal(xs in vec_with_ragged_len(257), m in -50.0f64..50.0) {
         let (mut a, mut b) = (Vec::new(), Vec::new());
         scalar::subtract_scalar_into(&xs, m, &mut a);
-        simd::subtract_scalar_into(&xs, m, &mut b);
+        kernels::subtract_scalar_into(&xs, m, &mut b);
         prop_assert_eq!(bits(&a), bits(&b));
     }
 
@@ -104,7 +102,7 @@ proptest! {
         let mut a = xs.clone();
         let mut b = xs;
         scalar::divide_in_place(&mut a, d);
-        simd::divide_in_place(&mut b, d);
+        kernels::divide_in_place(&mut b, d);
         prop_assert_eq!(bits(&a), bits(&b));
     }
 
@@ -136,7 +134,7 @@ proptest! {
         let mut a = buf.to_vec();
         let mut b = buf.to_vec();
         scalar::butterfly_stage(&mut a, half, &tw);
-        simd::butterfly_stage(&mut b, half, &tw);
+        kernels::butterfly_stage(&mut b, half, &tw);
         prop_assert_eq!(cbits(&a), cbits(&b));
     }
 
@@ -147,13 +145,13 @@ proptest! {
         let mut out_s = vec![Complex64::ZERO; a.len()];
         let mut out_v = vec![Complex64::ZERO; a.len()];
         scalar::cmul_into(&a, &b, &mut out_s);
-        simd::cmul_into(&a, &b, &mut out_v);
+        kernels::cmul_into(&a, &b, &mut out_v);
         prop_assert_eq!(cbits(&out_s), cbits(&out_v));
 
         let mut in_s = a.clone();
         let mut in_v = a;
         scalar::cmul_in_place(&mut in_s, &b);
-        simd::cmul_in_place(&mut in_v, &b);
+        kernels::cmul_in_place(&mut in_v, &b);
         prop_assert_eq!(cbits(&in_s), cbits(&in_v));
     }
 
@@ -162,13 +160,13 @@ proptest! {
         let mut c_s = a.clone();
         let mut c_v = a.clone();
         scalar::conj_in_place(&mut c_s);
-        simd::conj_in_place(&mut c_v);
+        kernels::conj_in_place(&mut c_v);
         prop_assert_eq!(cbits(&c_s), cbits(&c_v));
 
         let mut s_s = a.clone();
         let mut s_v = a;
         scalar::conj_scale_in_place(&mut s_s, k);
-        simd::conj_scale_in_place(&mut s_v, k);
+        kernels::conj_scale_in_place(&mut s_v, k);
         prop_assert_eq!(cbits(&s_s), cbits(&s_v));
     }
 
@@ -177,7 +175,7 @@ proptest! {
         let (points, t0, dt, count) = input;
         let (mut a, mut b) = (Vec::new(), Vec::new());
         scalar::lerp_grid_into(&points, t0, dt, count, &mut a);
-        simd::lerp_grid_into(&points, t0, dt, count, &mut b);
+        kernels::lerp_grid_into(&points, t0, dt, count, &mut b);
         prop_assert_eq!(bits(&a), bits(&b));
         // Both paths must also reproduce the legacy per-point binary-search
         // evaluation (the bit-identity-class contract).
@@ -233,58 +231,33 @@ proptest! {
     ) {
         let (mut a, mut b) = (Vec::new(), Vec::new());
         scalar::circular_moving_average_into(&xs, w, &mut a);
-        simd::circular_moving_average_into(&xs, w, &mut b);
+        kernels::circular_moving_average_into(&xs, w, &mut b);
         prop_assert_eq!(bits(&a), bits(&b));
-    }
-
-    #[test]
-    fn dispatch_wrapper_agrees_with_both_paths_under_force(xs in vec_with_ragged_len(200)) {
-        // The wrapper must return the same bits whichever path is forced —
-        // the whole-suite guarantee that TAXILIGHT_KERNELS cannot change
-        // results, only speed.
-        let before = kernels::dispatch();
-        force(KernelDispatch::Scalar);
-        let via_scalar = kernels::sum(&xs).to_bits();
-        let mut mags_scalar = Vec::new();
-        kernels::magnitudes_into(
-            &xs.iter().map(|&v| Complex64::new(v, -v)).collect::<Vec<_>>(),
-            &mut mags_scalar,
-        );
-        force(KernelDispatch::Simd);
-        let via_simd = kernels::sum(&xs).to_bits();
-        let mut mags_simd = Vec::new();
-        kernels::magnitudes_into(
-            &xs.iter().map(|&v| Complex64::new(v, -v)).collect::<Vec<_>>(),
-            &mut mags_simd,
-        );
-        force(before);
-        prop_assert_eq!(via_scalar, via_simd);
-        prop_assert_eq!(bits(&mags_scalar), bits(&mags_simd));
     }
 }
 
 #[test]
 fn empty_and_single_element_inputs() {
-    assert_eq!(scalar::sum(&[]).to_bits(), simd::sum(&[]).to_bits());
-    assert_eq!(scalar::sum(&[3.5]).to_bits(), simd::sum(&[3.5]).to_bits());
-    assert_eq!(scalar::dot(&[], &[]).to_bits(), simd::dot(&[], &[]).to_bits());
-    assert_eq!(scalar::dot(&[2.0], &[-4.0]).to_bits(), simd::dot(&[2.0], &[-4.0]).to_bits());
+    assert_eq!(scalar::sum(&[]).to_bits(), kernels::sum(&[]).to_bits());
+    assert_eq!(scalar::sum(&[3.5]).to_bits(), kernels::sum(&[3.5]).to_bits());
+    assert_eq!(scalar::dot(&[], &[]).to_bits(), kernels::dot(&[], &[]).to_bits());
+    assert_eq!(scalar::dot(&[2.0], &[-4.0]).to_bits(), kernels::dot(&[2.0], &[-4.0]).to_bits());
 
     let (mut a, mut b) = (Vec::new(), Vec::new());
     scalar::magnitudes_into(&[], &mut a);
-    simd::magnitudes_into(&[], &mut b);
+    kernels::magnitudes_into(&[], &mut b);
     assert!(a.is_empty() && b.is_empty());
     let one = [Complex64::new(3.0, -4.0)];
     scalar::magnitudes_into(&one, &mut a);
-    simd::magnitudes_into(&one, &mut b);
+    kernels::magnitudes_into(&one, &mut b);
     assert_eq!(bits(&a), bits(&b));
     assert_eq!(a, vec![5.0]);
 
     scalar::circular_moving_average_into(&[], 5, &mut a);
-    simd::circular_moving_average_into(&[], 5, &mut b);
+    kernels::circular_moving_average_into(&[], 5, &mut b);
     assert!(a.is_empty() && b.is_empty());
     scalar::circular_moving_average_into(&[7.0], 0, &mut a);
-    simd::circular_moving_average_into(&[7.0], 0, &mut b);
+    kernels::circular_moving_average_into(&[7.0], 0, &mut b);
     assert_eq!(bits(&a), bits(&b));
     assert_eq!(a, vec![7.0]);
 }
@@ -299,17 +272,13 @@ fn lerp_grid_non_monotone_fallback_matches() {
     for (t0, dt) in [(5.0, -1.0), (5.0, 0.0), (-3.0, -0.25)] {
         let (mut a, mut b) = (Vec::new(), Vec::new());
         scalar::lerp_grid_into(&points, t0, dt, 7, &mut a);
-        simd::lerp_grid_into(&points, t0, dt, 7, &mut b);
+        kernels::lerp_grid_into(&points, t0, dt, 7, &mut b);
         assert_eq!(bits(&a), bits(&b), "t0={t0} dt={dt}");
     }
 }
 
 #[test]
-fn active_path_name_is_consistent_with_dispatch() {
-    let before = kernels::dispatch();
-    force(KernelDispatch::Scalar);
-    assert_eq!(kernels::active_path_name(), "scalar");
-    force(KernelDispatch::Simd);
-    assert!(["sse2", "neon", "portable"].contains(&kernels::active_path_name()));
-    force(before);
+fn active_path_name_follows_target_arch() {
+    let expected = if cfg!(target_arch = "x86_64") { "sse2" } else { "scalar" };
+    assert_eq!(kernels::active_path_name(), expected);
 }

@@ -1,5 +1,6 @@
-//! Bit-identity of the plan-cached/workspace hot path against the
-//! allocating reference functions, over arbitrary lengths and contents.
+//! Bit-identity of the plan-cached workspace transforms against the
+//! reference FFT, and of a reused workspace against a fresh one, over
+//! arbitrary lengths and contents.
 //!
 //! The identification pipeline's correctness contract for the workspace
 //! layer is *exact* equality — same summation order, same bin grid — not
@@ -8,10 +9,7 @@
 use proptest::prelude::*;
 use taxilight_signal::fft::{eq1_spectrum, fft, ifft};
 use taxilight_signal::interpolate::{resample, Method};
-use taxilight_signal::periodogram::{
-    band_candidates_with, dominant_period_refined_with, dominant_period_with, PeriodBand,
-    SpectrumPath,
-};
+use taxilight_signal::periodogram::{PeriodBand, SpectrumPath};
 use taxilight_signal::plan::FftPlan;
 use taxilight_signal::{Complex64, SignalWorkspace};
 
@@ -76,84 +74,13 @@ proptest! {
         ws.eq1_spectrum_into(&sig, &mut out);
         prop_assert_eq!(complex_bits(&out), complex_bits(&reference));
     }
-
-    #[test]
-    fn workspace_period_search_bit_identical(
-        sig in arbitrary_signal(),
-        refine in prop::bool::ANY,
-        padded in prop::bool::ANY,
-    ) {
-        let path = if padded { SpectrumPath::PaddedPow2 } else { SpectrumPath::Exact };
-        let band = PeriodBand::TRAFFIC_LIGHTS;
-        let reference = if refine {
-            dominant_period_refined_with(&sig, 1.0, band, path)
-        } else {
-            dominant_period_with(&sig, 1.0, band, path)
-        };
-        let mut ws = SignalWorkspace::new();
-        let got = ws.dominant_period(&sig, 1.0, band, refine, path);
-        match (got, reference) {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                prop_assert_eq!(a.bin, b.bin);
-                prop_assert_eq!(a.period.to_bits(), b.period.to_bits());
-                prop_assert_eq!(a.magnitude.to_bits(), b.magnitude.to_bits());
-                prop_assert_eq!(a.snr.to_bits(), b.snr.to_bits());
-            }
-            (a, b) => prop_assert!(false, "mismatch: {:?} vs {:?}", a, b),
-        }
-    }
-
-    #[test]
-    fn workspace_band_candidates_bit_identical(
-        sig in arbitrary_signal(),
-        k in 0usize..12,
-        padded in prop::bool::ANY,
-    ) {
-        let path = if padded { SpectrumPath::PaddedPow2 } else { SpectrumPath::Exact };
-        let band = PeriodBand::TRAFFIC_LIGHTS;
-        let reference = band_candidates_with(&sig, 1.0, band, k, path);
-        let mut ws = SignalWorkspace::new();
-        let mut out = Vec::new();
-        ws.band_candidates_into(&sig, 1.0, band, k, path, &mut out);
-        prop_assert_eq!(out.len(), reference.len());
-        for (a, b) in out.iter().zip(&reference) {
-            prop_assert_eq!(a.bin, b.bin);
-            prop_assert_eq!(a.period.to_bits(), b.period.to_bits());
-            prop_assert_eq!(a.magnitude.to_bits(), b.magnitude.to_bits());
-            prop_assert_eq!(a.snr.to_bits(), b.snr.to_bits());
-        }
-    }
-
-    #[test]
-    fn workspace_resample_bit_identical(
-        raw in prop::collection::vec((0.0f64..600.0, -20.0f64..60.0), 0..80),
-        count in 1usize..400,
-    ) {
-        let mut ws = SignalWorkspace::new();
-        let mut out = Vec::new();
-        for method in [Method::NearestOrZero, Method::Linear, Method::CubicSpline] {
-            let reference = resample(&raw, 0.0, 1.0, count, method);
-            let got = ws.resample_into(&raw, 0.0, 1.0, count, method, &mut out);
-            match (&got, &reference) {
-                (Ok(()), Ok(reference_grid)) => {
-                    prop_assert_eq!(out.len(), reference_grid.len());
-                    for (a, b) in out.iter().zip(reference_grid) {
-                        prop_assert_eq!(a.to_bits(), b.to_bits());
-                    }
-                }
-                (Err(e), Err(re)) => prop_assert_eq!(e, re),
-                _ => prop_assert!(false, "mismatch: {:?} vs {:?}", got, reference.is_ok()),
-            }
-        }
-    }
 }
 
 /// One workspace, 100 heterogeneous calls — mixed lengths, methods, and
-/// spectrum paths — must keep producing exactly what a fresh workspace (and
-/// the allocating reference) produces. Any state leaking between calls
-/// (stale buffer tails, wrong plan, dirty scratch) shows up as a bit
-/// mismatch.
+/// spectrum paths — must keep producing exactly what a fresh workspace
+/// produces (and, for the Eq. (1) spectrum, the FFT reference). Any state
+/// leaking between calls (stale buffer tails, wrong plan, dirty scratch)
+/// shows up as a bit mismatch.
 #[test]
 fn workspace_reused_across_100_heterogeneous_calls_never_leaks_state() {
     let mut ws = SignalWorkspace::new();
@@ -177,12 +104,8 @@ fn workspace_reused_across_100_heterogeneous_calls_never_leaks_state() {
         let path = if call % 3 == 0 { SpectrumPath::PaddedPow2 } else { SpectrumPath::Exact };
         let refine = call % 4 == 1;
 
-        // Period search vs the allocating reference.
-        let reference = if refine {
-            dominant_period_refined_with(&sig, 1.0, band, path)
-        } else {
-            dominant_period_with(&sig, 1.0, band, path)
-        };
+        // Period search vs a fresh workspace.
+        let reference = SignalWorkspace::new().dominant_period(&sig, 1.0, band, refine, path);
         let got = ws.dominant_period(&sig, 1.0, band, refine, path);
         assert_eq!(
             got.map(|e| (e.bin, e.period.to_bits(), e.magnitude.to_bits(), e.snr.to_bits())),
@@ -190,10 +113,11 @@ fn workspace_reused_across_100_heterogeneous_calls_never_leaks_state() {
             "call {call}: period search diverged"
         );
 
-        // Candidate ranking vs reference.
+        // Candidate ranking vs a fresh workspace.
         let k = 1 + (call as usize % 6);
         ws.band_candidates_into(&sig, 1.0, band, k, path, &mut candidates);
-        let reference_cands = band_candidates_with(&sig, 1.0, band, k, path);
+        let mut reference_cands = Vec::new();
+        SignalWorkspace::new().band_candidates_into(&sig, 1.0, band, k, path, &mut reference_cands);
         assert_eq!(candidates.len(), reference_cands.len(), "call {call}");
         for (a, b) in candidates.iter().zip(&reference_cands) {
             assert_eq!(a.period.to_bits(), b.period.to_bits(), "call {call}");
@@ -203,7 +127,7 @@ fn workspace_reused_across_100_heterogeneous_calls_never_leaks_state() {
         ws.eq1_spectrum_into(&sig, &mut spectrum);
         assert_eq!(complex_bits(&spectrum), complex_bits(&eq1_spectrum(&sig)), "call {call}");
 
-        // Resample vs reference, rotating through every method.
+        // Resample vs a fresh workspace, rotating through every method.
         let method = match call % 3 {
             0 => Method::NearestOrZero,
             1 => Method::Linear,
