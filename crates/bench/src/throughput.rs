@@ -22,7 +22,7 @@ use taxilight_obs::span;
 
 use crate::summary::{self, SampleSummary};
 
-use taxilight_core::engine::{shard_of, ExecMode, Identifier, IdentifyRequest};
+use taxilight_core::engine::{ExecMode, Identifier, IdentifyRequest};
 use taxilight_core::pipeline::{IdentifyError, LightSchedule};
 use taxilight_core::realtime::RealtimeIdentifier;
 use taxilight_core::IdentifyConfig;
@@ -280,7 +280,7 @@ pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
     let mut lights: Vec<LightId> = serial.results.iter().map(|(l, _)| *l).collect();
     lights.sort_by_key(|l| l.0);
     let shard_digest = fnv1a(lights.iter().flat_map(|l| {
-        l.0.to_le_bytes().into_iter().chain((shard_of(*l, cfg.shards) as u32).to_le_bytes())
+        l.0.to_le_bytes().into_iter().chain((engine.shard(*l, cfg.shards) as u32).to_le_bytes())
     }));
 
     // Mirror the run's outcome into the metrics registry: seed-fixed

@@ -219,11 +219,17 @@ impl crate::workspace::IdentifyWorkspace {
         };
 
         // `(period, fold score, bin, snr)` per refined candidate.
+        let fold_span = taxilight_obs::span!(
+            "cycle.fold",
+            candidates = self.candidates.len(),
+            samples = samples.len()
+        );
         self.scored.clear();
         self.scored.extend(self.candidates.iter().map(|c| {
             let (period, score) = refine_period(c.period);
             (period, score, c.bin, c.snr)
         }));
+        drop(fold_span);
         let best_idx = (0..self.scored.len())
             .max_by(|&a, &b| self.scored[a].1.total_cmp(&self.scored[b].1))
             .expect("non-empty scored set");

@@ -16,7 +16,10 @@
 //! exploits that by
 //!
 //! 1. assigning each light to a **deterministic shard** via an FNV-1a hash
-//!    of its [`LightId`] — stable across runs, machines, and thread counts;
+//!    of its intersection's id — stable across runs, machines, and thread
+//!    counts, and keeping every light of a crossroad on one worker, so the
+//!    pooled (enhancement-path) cycle search the lights of one axis share
+//!    runs once (see [Workspaces](#workspaces));
 //! 2. distributing shards round-robin over a pool of scoped worker
 //!    threads, each accumulating results in **per-shard vectors** so no
 //!    lock sits on the hot path;
@@ -39,6 +42,12 @@
 //! only at run start/end, never per light) so plans and grown buffers
 //! survive across runs — the property the realtime engine's round loop
 //! relies on.
+//!
+//! A workspace also memoises the run's pooled cycle searches: all lights
+//! on one axis of a crossroad pool the same samples, so the first of them
+//! searches and the rest reuse its result. The memo is cleared at
+//! checkout — a run has one set of traces and one instant — and the
+//! intersection sharding above gives each crossroad one workspace.
 
 use std::sync::Mutex;
 
@@ -46,8 +55,8 @@ use taxilight_obs::{event, span};
 
 use crate::config::{ConfigError, IdentifyConfig};
 use crate::pipeline::{
-    identify_all_seq, identify_light_impl, identify_light_with_cycle_impl, IdentifyError,
-    LightSchedule,
+    identify_all_seq, identify_light_impl, identify_light_with_cycle_impl, light_sites,
+    IdentifyError, LightSchedule, LightSite,
 };
 use crate::preprocess::PartitionedTraces;
 use crate::workspace::{IdentifyWorkspace, StageTimings};
@@ -221,14 +230,15 @@ impl IdentifyOutcome {
     }
 }
 
-/// Stable FNV-1a 64-bit hash of a light id — the shard assignment must not
-/// depend on `DefaultHasher`'s unspecified, build-dependent output.
-pub fn shard_of(light: LightId, shards: usize) -> usize {
+/// Stable FNV-1a 64-bit hash of a shard key (see [`Identifier::shard`])
+/// — the shard assignment must not depend on `DefaultHasher`'s
+/// unspecified, build-dependent output.
+pub fn shard_of(key: u32, shards: usize) -> usize {
     debug_assert!(shards > 0);
     const OFFSET: u64 = 0xcbf29ce484222325;
     const PRIME: u64 = 0x100000001b3;
     let mut h = OFFSET;
-    for b in light.0.to_le_bytes() {
+    for b in key.to_le_bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(PRIME);
     }
@@ -240,6 +250,8 @@ pub fn shard_of(light: LightId, shards: usize) -> usize {
 pub struct Identifier<'a> {
     net: &'a RoadNetwork,
     cfg: IdentifyConfig,
+    /// Every network light's site, indexed by `LightId.0`.
+    sites: Vec<Option<LightSite>>,
     /// Idle workspaces kept across runs so FFT plans and grown buffers
     /// amortize. Locked only at run start (checkout) and run end
     /// (checkin); each worker owns its workspace exclusively in between.
@@ -251,18 +263,19 @@ impl<'a> Identifier<'a> {
     /// degenerate values surface here instead of deep inside the pipeline.
     pub fn new(net: &'a RoadNetwork, cfg: IdentifyConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        Ok(Identifier { net, cfg, pool: Mutex::new(Vec::new()) })
+        Ok(Identifier::new_unchecked(net, cfg))
     }
 
     /// Creates an engine with the paper-default configuration.
     pub fn with_defaults(net: &'a RoadNetwork) -> Self {
-        Identifier { net, cfg: IdentifyConfig::default(), pool: Mutex::new(Vec::new()) }
+        Identifier::new_unchecked(net, IdentifyConfig::default())
     }
 
-    /// Skips validation — only for the deprecated shims, which predate
-    /// config validation and must keep their exact historical behaviour.
+    /// Builds the engine without validating `cfg`: [`Identifier::new`]
+    /// validates first, and the realtime engine, which predates config
+    /// validation, must keep its exact historical behaviour.
     pub(crate) fn new_unchecked(net: &'a RoadNetwork, cfg: IdentifyConfig) -> Self {
-        Identifier { net, cfg, pool: Mutex::new(Vec::new()) }
+        Identifier { net, cfg, sites: light_sites(net), pool: Mutex::new(Vec::new()) }
     }
 
     /// The engine's configuration.
@@ -270,7 +283,19 @@ impl<'a> Identifier<'a> {
         &self.cfg
     }
 
-    /// Pops a pooled workspace (or builds one) with fresh run counters.
+    fn site(&self, light: LightId) -> Option<LightSite> {
+        self.sites.get(light.0 as usize).copied().flatten()
+    }
+
+    /// The shard `light` runs in when a sharded run uses `shards` shards:
+    /// [`shard_of`] its intersection's id, or of its own id for a light
+    /// outside the network.
+    pub fn shard(&self, light: LightId, shards: usize) -> usize {
+        shard_of(self.site(light).map_or(light.0, |(intersection, _)| intersection.0), shards)
+    }
+
+    /// Pops a pooled workspace (or builds one) with fresh run counters
+    /// and an empty pooled-search memo.
     fn checkout(&self) -> IdentifyWorkspace {
         let mut pool = self.pool.lock().expect("workspace pool poisoned");
         let pooled = !pool.is_empty();
@@ -278,6 +303,7 @@ impl<'a> Identifier<'a> {
         drop(pool);
         event!("workspace.checkout", pooled = pooled);
         ws.reset_run_stats();
+        ws.pooled.clear();
         ws
     }
 
@@ -381,7 +407,9 @@ impl<'a> Identifier<'a> {
             Some(cycle_s) => {
                 identify_light_with_cycle_impl(parts, light, req.at, &self.cfg, cycle_s, ws)
             }
-            None => identify_light_impl(parts, self.net, light, req.at, &self.cfg, ws),
+            None => {
+                identify_light_impl(parts, self.net, light, self.site(light), req.at, &self.cfg, ws)
+            }
         }
     }
 
@@ -403,11 +431,12 @@ impl<'a> Identifier<'a> {
         shards: usize,
         threads: usize,
     ) -> (LightResults, Vec<IdentifyWorkspace>) {
-        // Deterministic shard assignment: lights stay in ascending order
-        // inside each shard (stable partition of an ascending input).
+        // Deterministic shard assignment by intersection: lights stay in
+        // ascending order inside each shard (stable partition of an
+        // ascending input).
         let mut buckets: Vec<Vec<LightId>> = vec![Vec::new(); shards];
         for &l in lights {
-            buckets[shard_of(l, shards)].push(l);
+            buckets[self.shard(l, shards)].push(l);
         }
 
         let workers = threads.min(shards).max(1);
@@ -494,12 +523,12 @@ mod tests {
     fn shard_of_is_stable_and_in_range() {
         // Pinned values: the FNV-1a schedule digest in BENCH_throughput
         // depends on this exact hash; a silent change must fail loudly.
-        assert_eq!(shard_of(LightId(0), 8), 5);
-        assert_eq!(shard_of(LightId(1), 8), 4);
-        assert_eq!(shard_of(LightId(42), 8), 7);
+        assert_eq!(shard_of(0, 8), 5);
+        assert_eq!(shard_of(1, 8), 4);
+        assert_eq!(shard_of(42, 8), 7);
         for id in 0..1000 {
             for shards in [1, 2, 3, 7, 16] {
-                assert!(shard_of(LightId(id), shards) < shards);
+                assert!(shard_of(id, shards) < shards);
             }
         }
     }
@@ -510,7 +539,7 @@ mod tests {
         // hold more than half the lights.
         let mut counts = [0usize; 8];
         for id in 0..1000 {
-            counts[shard_of(LightId(id), 8)] += 1;
+            counts[shard_of(id, 8)] += 1;
         }
         for c in counts {
             assert!(c > 0 && c < 500, "skewed shard: {counts:?}");

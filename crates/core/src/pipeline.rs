@@ -24,11 +24,11 @@ use taxilight_obs::{event, span};
 
 use crate::change_point::ChangePointError;
 use crate::config::{ConfigError, IdentifyConfig};
-use crate::cycle::CycleError;
+use crate::cycle::{CycleError, CycleEstimate};
 use crate::preprocess::{LightObs, PartitionedTraces};
 use crate::red::{extract_stops, red_duration, RedError};
-use crate::workspace::IdentifyWorkspace;
-use taxilight_roadnet::graph::{LightId, RoadNetwork};
+use crate::workspace::{IdentifyWorkspace, PooledKey};
+use taxilight_roadnet::graph::{ApproachLight, IntersectionId, LightId, RoadNetwork};
 use taxilight_trace::geo::heading_difference;
 use taxilight_trace::time::Timestamp;
 
@@ -194,48 +194,99 @@ pub fn mean_sample_interval(obs: &[LightObs]) -> f64 {
     taxilight_signal::stats::median(&deltas).unwrap_or(20.14)
 }
 
-/// Pools the whole intersection's observations for the enhancement path:
-/// same-axis approaches (which share this light's phase plan) pool
-/// directly with the primary; perpendicular approaches form the
-/// to-be-mirrored pool of the paper's Eq. (3). Returns `(primary,
-/// perpendicular)` as `(seconds since t0, speed)` samples.
-/// `(t, speed)` sample series.
-type Samples = Vec<(f64, f64)>;
+/// Where a light sits in the network: its intersection and its index in
+/// that intersection's `lights`.
+pub(crate) type LightSite = (IntersectionId, usize);
 
-#[allow(clippy::too_many_arguments)]
-fn intersection_pools_into(
+/// Every network light's [`LightSite`], indexed by `LightId.0` — built
+/// once per engine so the per-light path never scans the network for its
+/// light ([`RoadNetwork::light`] is a linear search).
+pub(crate) fn light_sites(net: &RoadNetwork) -> Vec<Option<LightSite>> {
+    let mut sites: Vec<Option<LightSite>> = Vec::new();
+    for intersection in net.intersections() {
+        for (k, l) in intersection.lights.iter().enumerate() {
+            let i = l.id.0 as usize;
+            if sites.len() <= i {
+                sites.resize(i + 1, None);
+            }
+            sites[i].get_or_insert((intersection.id, k));
+        }
+    }
+    sites
+}
+
+/// The enhancement path's cycle search (paper Sec. V-B): pools the whole
+/// intersection's observations in `[t0, at)` — same-axis approaches
+/// (which share this light's phase plan) directly with the primary,
+/// perpendicular approaches as the to-be-mirrored pool of Eq. (3) — and
+/// searches the merged series.
+///
+/// The pools are built in `Intersection::lights` order whichever light
+/// asks, so every light with the same primary/perpendicular split (e.g.
+/// N and S of a 4-way crossroad) searches the very same samples: the
+/// result is memoised in the workspace under a [`PooledKey`] and the
+/// search runs once per axis. A light outside the network pools nothing.
+fn pooled_cycle(
     parts: &PartitionedTraces,
     net: &RoadNetwork,
-    light: LightId,
+    site: Option<LightSite>,
     t0: Timestamp,
-    t1: Timestamp,
-    influence_radius_m: f64,
-    primary: &mut Samples,
-    perpendicular: &mut Samples,
-) {
-    primary.clear();
-    perpendicular.clear();
-    let Some(this) = net.light(light) else {
-        return;
+    at: Timestamp,
+    cfg: &IdentifyConfig,
+    ws: &mut IdentifyWorkspace,
+) -> Result<CycleEstimate, CycleError> {
+    let window_len = at.delta(t0) as usize;
+    let Some((id, index)) = site else {
+        return ws.cycle_from_samples(&[], window_len, cfg);
     };
-    let intersection = net.intersection(this.intersection);
+    let intersection = net.intersection(id);
+    let heading = intersection.lights[index].heading_deg;
+    let is_perpendicular =
+        |l: &ApproachLight| (45.0..=135.0).contains(&heading_difference(l.heading_deg, heading));
+    let key = (intersection.lights.len() <= 64).then(|| PooledKey {
+        intersection: id.0,
+        perpendicular: intersection
+            .lights
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| is_perpendicular(l))
+            .fold(0, |mask, (i, _)| mask | 1 << i),
+        band: (cfg.band.min_period.to_bits(), cfg.band.max_period.to_bits()),
+        at: at.0,
+    });
+    if let Some(hit) = key.and_then(|k| ws.pooled.get(&k)) {
+        return hit.clone();
+    }
+
+    ws.pool_primary.clear();
+    ws.pool_perpendicular.clear();
     for l in &intersection.lights {
-        let d = heading_difference(l.heading_deg, this.heading_deg);
-        let pool = if (45.0..=135.0).contains(&d) { &mut *perpendicular } else { &mut *primary };
+        let pool =
+            if is_perpendicular(l) { &mut ws.pool_perpendicular } else { &mut ws.pool_primary };
         pool.extend(
             parts
-                .window(l.id, t0, t1)
+                .window(l.id, t0, at)
                 .iter()
-                .filter(|o| o.dist_to_stop_m <= influence_radius_m)
+                .filter(|o| o.dist_to_stop_m <= cfg.influence_radius_m)
                 .map(|o| (o.time.delta(t0) as f64, o.speed_kmh)),
         );
     }
+    ws.mirror_enhance_pools();
+    let merged = std::mem::take(&mut ws.enhanced);
+    let result = ws.cycle_from_samples(&merged, window_len, cfg);
+    ws.enhanced = merged;
+    if let Some(k) = key {
+        ws.pooled.insert(k, result.clone());
+    }
+    result
 }
 
 /// Identifies the schedule of one light at evaluation instant `at`,
 /// analysing the window `[at − cfg.window_s, at)` — shared by the engine
-/// and the consensus pass. The workspace supplies every scratch buffer and
-/// the FFT plan cache — one per worker thread, reused across lights.
+/// and the consensus pass. `site` is the light's place in `net` (`None`
+/// for a light outside it). The workspace supplies every scratch buffer,
+/// the FFT plan cache and the run's pooled-search memo — one per worker
+/// thread, reused across lights.
 ///
 /// The 0.2-era free-function entry points (`identify_light`,
 /// `identify_light_with_cycle`, `identify_all`) were removed in 0.3 per
@@ -244,6 +295,7 @@ pub(crate) fn identify_light_impl(
     parts: &PartitionedTraces,
     net: &RoadNetwork,
     light: LightId,
+    site: Option<LightSite>,
     at: Timestamp,
     cfg: &IdentifyConfig,
     ws: &mut IdentifyWorkspace,
@@ -268,33 +320,25 @@ pub(crate) fn identify_light_impl(
     );
     let near = ws.speed.len();
     let window_len = at.delta(t0) as usize;
-    let solo = {
+    let solo = |ws: &mut IdentifyWorkspace| {
         let speed = std::mem::take(&mut ws.speed);
         let r = ws.cycle_from_samples(&speed, window_len, cfg);
         ws.speed = speed;
         r
     };
-    let cycle_est = if near < cfg.enhance_below_samples || solo.is_err() {
+    let pooled = |ws: &mut IdentifyWorkspace| {
         let _enhance_span = span!("stage.enhance", light = light.0, near = near);
-        intersection_pools_into(
-            parts,
-            net,
-            light,
-            t0,
-            at,
-            cfg.influence_radius_m,
-            &mut ws.pool_primary,
-            &mut ws.pool_perpendicular,
-        );
-        ws.mirror_enhance_pools();
-        // Prefer the pooled estimate — four approaches' worth of data —
-        // and fall back to the solo result when pooling fails outright.
-        let merged = std::mem::take(&mut ws.enhanced);
-        let pooled = ws.cycle_from_samples(&merged, window_len, cfg);
-        ws.enhanced = merged;
-        pooled.or(solo)
+        pooled_cycle(parts, net, site, t0, at, cfg, ws)
+    };
+    // A sparse approach prefers the pooled estimate — four approaches'
+    // worth of data — and falls back to its own only when pooling fails
+    // outright; a dense one pools only when its own search fails. Either
+    // way a search runs only when its result can be used, and when both
+    // fail the error is the light's own.
+    let cycle_est = if near < cfg.enhance_below_samples {
+        pooled(ws).or_else(|_| solo(ws))
     } else {
-        solo
+        solo(ws).or_else(|e| pooled(ws).map_err(|_| e))
     };
     drop(stage_span);
     ws.timings.add_cycle(stage_start.elapsed());
@@ -450,10 +494,14 @@ pub(crate) fn identify_all_seq(
     cfg: &IdentifyConfig,
 ) -> Vec<(LightId, Result<LightSchedule, IdentifyError>)> {
     let mut ws = IdentifyWorkspace::new();
+    let sites = light_sites(net);
     parts
         .lights_with_data()
         .into_iter()
-        .map(|light| (light, identify_light_impl(parts, net, light, at, cfg, &mut ws)))
+        .map(|light| {
+            let site = sites.get(light.0 as usize).copied().flatten();
+            (light, identify_light_impl(parts, net, light, site, at, cfg, &mut ws))
+        })
         .collect()
 }
 
@@ -498,7 +546,7 @@ pub(crate) fn reconcile_intersections(
             (consensus * 0.9).max(5.0),
             consensus * 1.1 + 1.0,
         );
-        for l in &intersection.lights {
+        for (site_index, l) in intersection.lights.iter().enumerate() {
             let Some(&k) = index.get(&l.id.0) else { continue };
             let deviates = match &results[k].1 {
                 Ok(e) => (e.cycle_s - consensus).abs() > 0.1 * consensus,
@@ -508,7 +556,8 @@ pub(crate) fn reconcile_intersections(
                 continue;
             }
             let pinned_cfg = IdentifyConfig { band: pinned_band, ..cfg.clone() };
-            let redone = identify_light_impl(parts, net, l.id, at, &pinned_cfg, ws)
+            let site = Some((intersection.id, site_index));
+            let redone = identify_light_impl(parts, net, l.id, site, at, &pinned_cfg, ws)
                 // The shared-cycle fact is as solid as facts get at a
                 // crossroad; when even the pinned band cannot re-identify
                 // this approach, adopt the consensus cycle and derive red
@@ -633,6 +682,118 @@ mod tests {
         assert!(median(&mut cycle_errs) < 8.0, "median cycle err {cycle_errs:?}");
         assert!(median(&mut red_errs) < 25.0, "median red err {red_errs:?}");
         assert!(median(&mut change_errs) < 30.0, "median change err {change_errs:?}");
+    }
+
+    /// Bit patterns of one result, so comparisons tolerate nothing.
+    fn result_bits(r: &Result<LightSchedule, IdentifyError>) -> Result<[u64; 6], String> {
+        r.as_ref()
+            .map(|s| {
+                [
+                    s.cycle_s.to_bits(),
+                    s.red_s.to_bits(),
+                    s.green_s.to_bits(),
+                    s.red_start_s.to_bits(),
+                    s.snr.to_bits(),
+                    s.samples as u64,
+                ]
+            })
+            .map_err(|e| format!("{e:?}"))
+    }
+
+    /// The pooled-search memo and the intersection sharding change no
+    /// bit. On a 4×4 grid (four 4-way crossroads) where several same-axis
+    /// pairs take the enhancement path, `Identifier::run`, serial and
+    /// sharded, equals identifying each light on a fresh workspace; a
+    /// shared workspace interleaving the default band with a pinned one
+    /// equals fresh searches in both; and the consensus pass, which
+    /// re-identifies lights here, agrees across execution modes.
+    #[test]
+    fn pooled_memo_matches_fresh_per_light_identification() {
+        let city =
+            grid_city(&GridConfig { rows: 4, cols: 4, spacing_m: 600.0, ..GridConfig::default() });
+        let mut signals = SignalMap::new();
+        for &ix in &city.intersections {
+            let plan = IntersectionPlan { ns: PhasePlan::new(100, 45, 10) };
+            signals.install_intersection(&city.net, ix, plan);
+        }
+        let start = Timestamp::civil(2014, 12, 5, 14, 0, 0);
+        let sim_cfg = SimConfig {
+            taxi_count: 160,
+            start,
+            seed: 42,
+            street_hail_prob_per_s: 2.0e-4,
+            hourly_activity: [1.0; 24],
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(&city.net, &signals, sim_cfg);
+        sim.run(3600);
+        let (mut log, _) = sim.into_log();
+        let (parts, _) =
+            Preprocessor::new(&city.net, IdentifyConfig::default()).preprocess(&mut log);
+        let (net, at) = (&city.net, start.offset(3600));
+
+        let cfg = IdentifyConfig::default();
+        let pinned = IdentifyConfig {
+            band: taxilight_signal::periodogram::PeriodBand::new(90.0, 111.0),
+            ..IdentifyConfig::default()
+        };
+        let sites = light_sites(net);
+        let lights = parts.lights_with_data();
+        let fresh = |light: LightId, cfg: &IdentifyConfig| {
+            let mut ws = IdentifyWorkspace::new();
+            result_bits(&identify_light_impl(
+                &parts,
+                net,
+                light,
+                sites[light.0 as usize],
+                at,
+                cfg,
+                &mut ws,
+            ))
+        };
+        let t0 = at.offset(-(cfg.window_s as i64));
+        let sparse = lights
+            .iter()
+            .filter(|&&l| {
+                let near = parts.window(l, t0, at).iter();
+                near.filter(|o| o.dist_to_stop_m <= cfg.influence_radius_m).count()
+                    < cfg.enhance_below_samples
+            })
+            .count();
+        assert!(sparse >= 4, "only {sparse} lights take the enhancement path");
+
+        let reference: Vec<_> = lights.iter().map(|&l| (l, fresh(l, &cfg))).collect();
+        let engine = Identifier::new(net, cfg.clone()).unwrap();
+        let run = |req: IdentifyRequest| -> Vec<_> {
+            engine.run(&parts, &req).results.iter().map(|(l, r)| (*l, result_bits(r))).collect()
+        };
+        for req in [
+            IdentifyRequest::all(at).serial(),
+            IdentifyRequest::all(at),
+            IdentifyRequest::all(at).sharded(16, 3),
+            IdentifyRequest::all(at).sharded(1, 1),
+        ] {
+            let exec = req.exec;
+            assert_eq!(run(req.with_consensus(false)), reference, "{exec:?}");
+        }
+
+        // One workspace for every light, the default and the pinned band
+        // interleaved: hits within a band, never across bands.
+        let mut ws = IdentifyWorkspace::new();
+        for &l in &lights {
+            for c in [&cfg, &pinned] {
+                let r = identify_light_impl(&parts, net, l, sites[l.0 as usize], at, c, &mut ws);
+                assert_eq!(result_bits(&r), fresh(l, c), "{l:?}, band {:?}", c.band);
+            }
+        }
+        assert!(ws.pooled.len() < 2 * sparse, "no pooled search was shared");
+
+        let consensus = run(IdentifyRequest::all(at).serial().with_consensus(true));
+        assert!(consensus != reference, "the consensus pass re-identified no light");
+        for req in [IdentifyRequest::all(at), IdentifyRequest::all(at).sharded(16, 3)] {
+            let exec = req.exec;
+            assert_eq!(run(req.with_consensus(true)), consensus, "{exec:?}");
+        }
     }
 
     #[test]

@@ -82,8 +82,15 @@ pub fn fill_gaps_circular(binned: &[Option<f64>]) -> Vec<f64> {
 ///
 /// Returns 0 for degenerate inputs (fewer than ~2 samples per bin on
 /// average, zero variance).
+///
+/// A sample's bin is `⌊12·(t mod cycle_s)/cycle_s⌋`, computed without a
+/// division or `fmod` whenever `cycle_s ≥ 1`, `0 ≤ t < 2²⁴` and the
+/// scaled phase lies more than 1e-6 from a bin edge (its error is below
+/// ~5e-8 there); any other sample takes the `rem_euclid` expression.
+/// Both give the same bins, so every sum is unchanged — the argument is
+/// spelled out at `fast_fold_bin`.
 pub fn fold_contrast(samples: &[(f64, f64)], cycle_s: f64) -> f64 {
-    const BINS: usize = 12;
+    const BINS: usize = FOLD_BINS;
     assert!(cycle_s > 0.0, "cycle must be positive");
     let n = samples.len();
     if n < 2 * BINS {
@@ -92,9 +99,11 @@ pub fn fold_contrast(samples: &[(f64, f64)], cycle_s: f64) -> f64 {
     let mut sums = [0.0f64; BINS];
     let mut sq = [0.0f64; BINS];
     let mut counts = [0usize; BINS];
+    let inv_cycle = 1.0 / cycle_s;
+    let bin_scale = BINS as f64 / cycle_s;
     for &(t, v) in samples {
-        let phase = t.rem_euclid(cycle_s) / cycle_s;
-        let b = ((phase * BINS as f64) as usize).min(BINS - 1);
+        let b = fast_fold_bin(t, cycle_s, inv_cycle, bin_scale)
+            .unwrap_or_else(|| exact_fold_bin(t, cycle_s));
         sums[b] += v;
         sq[b] += v * v;
         counts[b] += 1;
@@ -118,6 +127,51 @@ pub fn fold_contrast(samples: &[(f64, f64)], cycle_s: f64) -> f64 {
     let df_within = n.saturating_sub(occupied).max(1) as f64;
     let noise = (occupied.saturating_sub(1)) as f64 * wss / df_within;
     ((bss - noise) / tss).clamp(0.0, 1.0)
+}
+
+/// Bins of [`fold_contrast`]: the cycle is cut into this many equal
+/// phase bins.
+const FOLD_BINS: usize = 12;
+
+/// The fold bin of sample time `t` at period `cycle_s`, as
+/// [`fold_contrast`] has always defined it: a libm `fmod` and a division
+/// per sample.
+#[inline]
+fn exact_fold_bin(t: f64, cycle_s: f64) -> usize {
+    let phase = t.rem_euclid(cycle_s) / cycle_s;
+    ((phase * FOLD_BINS as f64) as usize).min(FOLD_BINS - 1)
+}
+
+/// The same bin as [`exact_fold_bin`] without `fmod`, division or
+/// `floor` (all libm calls on baseline x86_64), or `None` when the fast
+/// arithmetic cannot vouch for it. `inv_cycle = 1/cycle_s` and
+/// `bin_scale = 12/cycle_s` are hoisted by the caller.
+///
+/// The argument for exactness, for `cycle_s ≥ 1` and `0 ≤ t < 2²⁴`:
+/// `q = trunc(t·inv_cycle)` is the true `⌊t/cycle_s⌋` or off by one
+/// (its relative error is a few ulps of a value below 2²⁴). With the
+/// true `q`, `t − q·cycle_s` is the exact remainder up to ~2 ulps of
+/// `t` (< 4e-9), so `f = (t − q·cycle_s)·bin_scale` is within ~5e-8 of
+/// the exact `12·(t mod cycle_s)/cycle_s`; [`exact_fold_bin`]'s value is
+/// within ~1e-14 of it (its `fmod` is exact). When `f` is more than 1e-6
+/// from every integer, both truncate to the same bin. A `q` off by one
+/// puts `f` below 0 or at 12 or above, which the guard rejects, as it
+/// rejects every `t` outside the range (negative, huge, NaN, ∞). The
+/// sample order, and so every bin sum, is unchanged.
+#[inline]
+fn fast_fold_bin(t: f64, cycle_s: f64, inv_cycle: f64, bin_scale: f64) -> Option<usize> {
+    const T_LIMIT: f64 = (1u32 << 24) as f64;
+    const GUARD: f64 = 1e-6;
+    if !(cycle_s >= 1.0 && (0.0..T_LIMIT).contains(&t)) {
+        return None;
+    }
+    // Float-to-int casts truncate in one instruction.
+    let q = (t * inv_cycle) as u32 as f64;
+    let f = (t - q * cycle_s) * bin_scale;
+    let b = f as u32;
+    let frac = f - b as f64;
+    (f > 0.0 && (b as usize) < FOLD_BINS && frac > GUARD && frac < 1.0 - GUARD)
+        .then_some(b as usize)
 }
 
 impl crate::workspace::IdentifyWorkspace {
@@ -242,6 +296,50 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "profile diverged (cycle {cycle_s})");
             }
         }
+    }
+
+    /// The fast fold bin agrees with the `rem_euclid` bin wherever it
+    /// answers: every whole second of a two-hour window, at the
+    /// quarter-second refinement periods of the whole band, their ÷2, ÷3
+    /// and ÷4 subdivisions (the candidates fold validation scores) and
+    /// arbitrary periods; out-of-range times always fall back.
+    #[test]
+    fn fast_fold_bin_matches_exact_bin() {
+        let mut periods: Vec<f64> = Vec::new();
+        for k in 0..=(295 * 4) {
+            let p = 5.0 + 0.25 * k as f64;
+            periods.push(p);
+            periods.extend([2.0, 3.0, 4.0].iter().map(|d| p / d).filter(|&q| q >= 5.0));
+        }
+        let mut lcg = 31u64;
+        while periods.len() < 10_000 {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            periods.push(5.0 + 295.0 * (lcg >> 11) as f64 / (1u64 << 53) as f64);
+        }
+        let (mut fast, mut total) = (0u64, 0u64);
+        for &p in &periods {
+            let (inv, scale) = (1.0 / p, FOLD_BINS as f64 / p);
+            for t in 0..=7200 {
+                let t = t as f64;
+                total += 1;
+                if let Some(b) = fast_fold_bin(t, p, inv, scale) {
+                    assert_eq!(b, exact_fold_bin(t, p), "t = {t}, p = {p}");
+                    fast += 1;
+                }
+            }
+        }
+        // The guard band only catches (near-)exact bin edges.
+        assert!(fast * 10 > total * 9, "fast path took only {fast} of {total}");
+
+        let p = 98.0;
+        for t in
+            [-1.0, -0.25, -1e-300, 16_777_216.0, 1e12, f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+        {
+            assert_eq!(fast_fold_bin(t, p, 1.0 / p, FOLD_BINS as f64 / p), None, "t = {t}");
+        }
+        // Exact bin edges (t = 49 folds to phase 1/2 at p = 98) fall back.
+        assert_eq!(fast_fold_bin(49.0, p, 1.0 / p, FOLD_BINS as f64 / p), None);
+        assert_eq!(fast_fold_bin(0.0, p, 1.0 / p, FOLD_BINS as f64 / p), None);
     }
 
     #[test]

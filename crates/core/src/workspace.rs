@@ -22,8 +22,9 @@
 //! (plans, scratch) and is never necessary: plans are cheap to build once
 //! per worker and amortize across every light the worker processes.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
+use crate::cycle::{CycleError, CycleEstimate};
 use crate::red::Stop;
 use taxilight_signal::periodogram::PeriodEstimate;
 use taxilight_signal::plan::PlanCacheStats;
@@ -131,6 +132,24 @@ impl StageTimings {
     }
 }
 
+/// What one pooled (enhancement-path) cycle search reads besides the
+/// run's traces and configuration: the crossroad, which of its lights
+/// pool as primary and which as mirrored perpendicular, the period band
+/// (the consensus pass pins its own) and the evaluation instant. Every
+/// light on one axis of a crossroad has the same key, so the search runs
+/// once per axis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct PooledKey {
+    /// The intersection's id.
+    pub(crate) intersection: u32,
+    /// Bit `i` set when `Intersection::lights[i]` pools as perpendicular.
+    pub(crate) perpendicular: u64,
+    /// The period band's bounds, as `f64` bits.
+    pub(crate) band: (u64, u64),
+    /// The evaluation instant, seconds.
+    pub(crate) at: i64,
+}
+
 /// Per-worker scratch + plan cache for allocation-free identification.
 ///
 /// See the [module docs](self) for the ownership rules. Buffers grow on
@@ -164,6 +183,8 @@ pub struct IdentifyWorkspace {
     pub(crate) pool_primary: Vec<(f64, f64)>,
     /// Perpendicular-axis pool (to be mirrored).
     pub(crate) pool_perpendicular: Vec<(f64, f64)>,
+    /// Pooled cycle searches of the current run (cleared at checkout).
+    pub(crate) pooled: HashMap<PooledKey, Result<CycleEstimate, CycleError>>,
     // --- superpose / change-point stage ---
     /// `(folded t, v, index)` sort scratch reproducing the stable fold
     /// order without allocation.

@@ -12,7 +12,9 @@
 #![cfg(feature = "alloc-counter")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use taxilight_core::{LightSchedule, ScheduleView};
 use taxilight_roadnet::graph::LightId;
@@ -20,25 +22,36 @@ use taxilight_serve::ScheduleStore;
 use taxilight_trace::time::Timestamp;
 
 /// Wraps the system allocator and counts every allocation-producing
-/// call. Deallocations are not counted: the invariant under test is "no
-/// new heap traffic", and `dealloc` cannot create any.
+/// call, process-wide and per thread. Deallocations are not counted: the
+/// invariant under test is "no new heap traffic", and `dealloc` cannot
+/// create any.
 struct CountingAllocator;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    // Const-initialised and drop-free, so touching it never allocates.
+    static THREAD_ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -52,6 +65,23 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn alloc_calls() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
+}
+
+/// Allocations made by the calling thread. The test harness allocates on
+/// its own threads whenever a sibling test starts or reports, so a
+/// single-threaded read path is measured on its own thread.
+fn thread_alloc_calls() -> u64 {
+    THREAD_ALLOC_CALLS.with(Cell::get)
+}
+
+/// Serialises the tests of this file: the allocation counter is
+/// process-global, so a sibling test publishing views on another test
+/// thread would be counted inside this test's measured region.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failing test poisons the lock; the other must still run.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A populated view: enough lights that a torn or accidentally-cloning
@@ -81,6 +111,7 @@ fn populated_view(lights: u32) -> ScheduleView {
 
 #[test]
 fn store_query_read_path_is_allocation_free() {
+    let _serial = serial();
     let (store, reader) = ScheduleStore::new();
     store.publish(populated_view(500), Vec::new());
 
@@ -89,7 +120,7 @@ fn store_query_read_path_is_allocation_free() {
     let warm_digest = warm.view.digest();
     assert_eq!(warm.view.len(), 500);
 
-    let before = alloc_calls();
+    let before = thread_alloc_calls();
     let mut acc = 0u64;
     for k in 0..1000u32 {
         let snap = reader.current();
@@ -101,7 +132,7 @@ fn store_query_read_path_is_allocation_free() {
         acc ^= u64::from(snap.view.is_red_at(light, t).expect("schedule known"));
         acc ^= snap.view.digest();
     }
-    let after = alloc_calls();
+    let after = thread_alloc_calls();
 
     assert_eq!(
         after - before,
@@ -116,6 +147,7 @@ fn store_query_read_path_is_allocation_free() {
 
 #[test]
 fn publishes_do_not_disturb_a_running_reader_loop() {
+    let _serial = serial();
     // Reads stay allocation-free even while the writer publishes:
     // readers never take the lock and never clone the Arc.
     let (store, reader) = ScheduleStore::new();

@@ -138,9 +138,9 @@ pub struct CsvChunkReader<R: Read> {
     fleet: Fleet,
     /// Bytes to request per chunk.
     chunk_bytes: usize,
-    /// Read buffer, recycled across chunks.
+    /// Read buffer, recycled across chunks; freed once `done`.
     buf: Vec<u8>,
-    /// Unterminated tail of the previous chunk.
+    /// Unterminated tail of the previous chunk; freed once `done`.
     carry: Vec<u8>,
     /// Next line number (0-based, counts every line incl. blank ones —
     /// identical to [`crate::io::TraceReader`]).
@@ -305,6 +305,10 @@ impl<R: Read> RecordSource for CsvChunkReader<R> {
                 self.carry.clear();
             }
             self.done = true;
+            // An exhausted reader may outlive its feed (a caller holding
+            // it for its fleet or totals); give the chunk buffers back.
+            self.buf = Vec::new();
+            self.carry = Vec::new();
         }
         Ok(true)
     }
@@ -382,6 +386,28 @@ mod tests {
             assert_eq!(got.len(), records.len());
             assert_eq!(got, records, "chunk_bytes={chunk_bytes}");
             assert_eq!(src.record_total(), records.len() as u64);
+            assert_eq!(src.fleet().len(), fleet.len());
+        }
+    }
+
+    #[test]
+    fn exhausted_reader_frees_its_buffers() {
+        let (records, fleet) = sample(40);
+        let mut text = encode_log(&records, &fleet).unwrap();
+        text.pop(); // end on an unterminated line, so the carry was used
+        for chunk_bytes in [7, 1 << 16] {
+            let mut src = CsvChunkReader::new(Cursor::new(text.as_bytes()), chunk_bytes);
+            let (got, bad) = collect_source(&mut src).unwrap();
+            assert_eq!(got, records, "chunk_bytes={chunk_bytes}");
+            assert!(bad.is_empty());
+            assert_eq!(src.buf.capacity(), 0, "chunk_bytes={chunk_bytes}");
+            assert_eq!(src.carry.capacity(), 0, "chunk_bytes={chunk_bytes}");
+            // Exhausted stays exhausted, with its totals and fleet intact.
+            let mut batch = RecordBatch::new();
+            assert!(!src.next_batch(&mut batch).unwrap());
+            assert!(batch.records.is_empty());
+            assert_eq!(src.record_total(), records.len() as u64);
+            assert_eq!(src.bad_line_total(), 0);
             assert_eq!(src.fleet().len(), fleet.len());
         }
     }
